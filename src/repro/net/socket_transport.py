@@ -33,6 +33,7 @@ log why, then the connection closes).
 
 from __future__ import annotations
 
+import _thread
 import socket
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -66,12 +67,21 @@ DEFAULT_DEADLINE = 5.0
 
 
 class _Waiter:
-    """One in-flight request: an event plus its eventual outcome."""
+    """One in-flight request: a held lock plus its eventual outcome.
 
-    __slots__ = ("event", "value", "error")
+    The lock is acquired at creation; the caller blocks re-acquiring it.
+    Whoever pops the waiter from the pending table -- the reader thread
+    resolving the reply, or ``_shutdown`` -- sets the outcome and
+    releases the lock, exactly once.  A raw lock is the cheapest
+    handoff the standard library offers; ``threading.Event`` wraps one
+    in a condition variable.
+    """
+
+    __slots__ = ("lock", "value", "error")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self.lock = _thread.allocate_lock()
+        self.lock.acquire()
         self.value: Any = None
         self.error: Optional[BaseException] = None
 
@@ -164,7 +174,7 @@ class WireConnection:
             self._pending.clear()
         for waiter in waiters:
             waiter.error = RPCError(f"connection {self.name!r} closed: {reason}")
-            waiter.event.set()
+            waiter.lock.release()
         if notify and self._on_close is not None:
             callback, self._on_close = self._on_close, None
             try:
@@ -206,7 +216,7 @@ class WireConnection:
             with self._pending_lock:
                 self._pending.pop(corr_id, None)
             raise
-        if not waiter.event.wait(deadline):
+        if not waiter.lock.acquire(True, deadline):
             # Abandon the id: a reply landing later is stale by definition.
             with self._pending_lock:
                 abandoned = self._pending.pop(corr_id, None) is not None
@@ -214,8 +224,9 @@ class WireConnection:
                 raise RPCError(
                     f"request to {address!r} missed its {deadline}s deadline"
                 )
-            # Lost the race: the reader resolved it between wait and pop.
-            waiter.event.wait(1.0)
+            # Lost the race: the reader popped it between the timeout and
+            # our pop, and releases the lock once the outcome is set.
+            waiter.lock.acquire(True, 1.0)
         if waiter.error is not None:
             raise waiter.error
         return waiter.value
@@ -232,14 +243,20 @@ class WireConnection:
                     break
                 for frame in self._decoder.feed(data):
                     self._handle_frame(frame)
-        except WireError as exc:
-            # Framing is unrecoverable mid-stream; tell the peer why if
-            # the socket still works, then tear down.
+        except Exception as exc:  # noqa: BLE001 - a dead reader would hang every request
+            # Framing is unrecoverable mid-stream, and an error escaping
+            # frame handling would leave the connection open with nobody
+            # reading it: tell the peer why if the socket still works,
+            # then tear down.
             try:
                 self._send_frame(FRAME_ERROR, 0, encode_payload(error_payload(exc)))
             except RPCError:
                 pass
-            self._shutdown(f"protocol error: {exc}", notify=True)
+            if isinstance(exc, WireError):
+                reason = f"protocol error: {exc}"
+            else:
+                reason = f"reader failed: {type(exc).__name__}: {exc}"
+            self._shutdown(reason, notify=True)
             return
         if self._decoder.pending:
             self._shutdown(
@@ -329,9 +346,9 @@ class WireConnection:
                     waiter.error = exc
             else:
                 waiter.value = decode_payload(frame.payload)
-        except WireError as exc:
+        except Exception as exc:  # noqa: BLE001 - the caller sees it, the reader lives
             waiter.error = exc
-        waiter.event.set()
+        waiter.lock.release()
 
 
 class _RemoteEndpoint:

@@ -274,7 +274,7 @@ def bench_socket_rpc(n_calls: int = 5_000) -> Dict[str, float]:
     into a frame, sent over loopback TCP, dispatched through the remote
     registry into a real :class:`DataPlaneStage` endpoint, and its
     ``StageStats`` reply decoded back -- correlation bookkeeping,
-    canonical-JSON codec, and reader-thread wakeups all on the measured
+    binary payload codec, and reader-thread wakeups all on the measured
     path.  Compare against ``control_cycles_per_sec`` (whose in-proc
     fabric makes the same call as a dict lookup) to see the wire tax
     the socket fabric adds.

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.simulation.engine import Environment
 from repro.workloads.trace import OpTrace
+
+# Hypothesis profiles, chosen with HYPOTHESIS_PROFILE.  "ci" is
+# derandomised: every run draws the same examples, so a failure in a CI
+# log reproduces locally by re-running the same test under the same
+# profile.  "wire-fuzz" is "ci" at a higher example count, for the codec
+# fuzz step.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.register_profile("wire-fuzz", settings.get_profile("ci"), max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

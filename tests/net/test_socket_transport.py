@@ -23,6 +23,7 @@ from repro.core.wire import (
     FRAME_ERROR,
     FRAME_HELLO,
     FRAME_REPLY,
+    FRAME_REQUEST,
     MAX_FRAME,
     WIRE_VERSION,
     FrameDecoder,
@@ -202,6 +203,25 @@ class TestVersionMismatch:
         assert _wait(lambda: accepted.closed)
         raw.close()
 
+    def test_listener_names_both_versions_to_a_v1_peer(self, pair):
+        # A peer from before the binary codec: a version-1 header and a
+        # JSON HELLO body.  It must be refused as a version mismatch, not
+        # as a malformed payload.
+        raw = socket.create_connection((pair.host, pair.port))
+        decoder = FrameDecoder()
+        _drain_frames(raw, decoder, 1)
+        body = b'{"peer":"old","version":1}'
+        raw.sendall(struct.pack("!4sBBHQI", b"PDLL", 1, FRAME_HELLO, 0, 0, len(body)) + body)
+        accepted = pair.wait_accepted()
+        frames = _drain_frames(raw, decoder, 1)
+        doc = decode_payload(frames[-1].payload)
+        assert doc["error"] == "WireError"
+        assert "version mismatch" in doc["detail"]
+        assert "version 1" in doc["detail"]
+        assert f"version {WIRE_VERSION}" in doc["detail"]
+        assert _wait(lambda: accepted.closed)
+        raw.close()
+
     def test_dialer_handshake_raises_on_foreign_version(self):
         # A fake "controller" that speaks tomorrow's protocol.
         server = socket.socket()
@@ -261,4 +281,87 @@ class TestStaleReplies:
         raw.sendall(encode_frame(FRAME_REPLY, 999, encode_payload("phantom")))
         assert _wait(lambda: accepted.stale_replies == 1)
         assert not accepted.closed
+        raw.close()
+
+
+#: Payloads nested far past any sane depth: JSON text (what a parser
+#: with an unbounded recursive descent chokes on) and the binary
+#: encoding's own list tag.
+_DEEP_PAYLOADS = {
+    "json-text": b"[" * 100_000,
+    "binary-lists": b"l\x00\x00\x00\x01" * 100_000 + b"N",
+}
+
+
+class TestHostileNesting:
+    """A deeply nested payload must never kill a connection's reader.
+
+    A dead reader leaves the connection reporting ``closed == False``
+    while every later request on it hangs until its deadline.  Either
+    outcome below is acceptable -- an ERROR reply, or a teardown with a
+    ``close_reason`` -- but the connection must stay responsive or say
+    it is gone.
+    """
+
+    @pytest.mark.parametrize("payload", _DEEP_PAYLOADS.values(), ids=_DEEP_PAYLOADS)
+    def test_deep_request(self, pair, payload):
+        pair.transport.bind("echo", lambda message: message)
+        raw = socket.create_connection((pair.host, pair.port))
+        raw.sendall(encode_frame(FRAME_HELLO, 0, encode_payload(hello_payload())))
+        accepted = pair.wait_accepted()
+        decoder = FrameDecoder()
+        _drain_frames(raw, decoder, 1)  # the listener's HELLO
+        raw.sendall(encode_frame(FRAME_REQUEST, 5, payload))
+        frames = _drain_frames(raw, decoder, 1, timeout=3.0)
+        if frames:
+            assert frames[0].kind == FRAME_ERROR
+            assert frames[0].corr_id in (0, 5)
+        if not accepted.closed:
+            # Still open: the reader must still be serving requests.
+            request = encode_payload({"to": "echo", "msg": Ping(payload="alive")})
+            raw.sendall(encode_frame(FRAME_REQUEST, 6, request))
+            frames = _drain_frames(raw, decoder, 1, timeout=3.0)
+            assert frames, "connection open but its reader is dead"
+            assert frames[0].kind == FRAME_REPLY
+            assert decode_payload(frames[0].payload) == Ping(payload="alive")
+        else:
+            assert accepted.close_reason
+        raw.close()
+
+    @pytest.mark.parametrize("payload", _DEEP_PAYLOADS.values(), ids=_DEEP_PAYLOADS)
+    def test_deep_reply(self, pair, payload):
+        raw = socket.create_connection((pair.host, pair.port))
+        raw.sendall(encode_frame(FRAME_HELLO, 0, encode_payload(hello_payload())))
+        accepted = pair.wait_accepted()
+        decoder = FrameDecoder()
+        _drain_frames(raw, decoder, 1)  # the listener's HELLO
+        pair.transport.attach("stage", accepted, deadline=3.0)
+        outcomes = []
+
+        def call():
+            try:
+                outcomes.append(pair.transport.call("stage", Ping()))
+            except RPCError as exc:
+                outcomes.append(exc)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        request = _drain_frames(raw, decoder, 1)[0]
+        assert request.kind == FRAME_REQUEST
+        started = time.monotonic()
+        raw.sendall(encode_frame(FRAME_REPLY, request.corr_id, payload))
+        caller.join(5.0)
+        # The caller hears of the bad reply at once, not at its deadline.
+        assert time.monotonic() - started < 2.0
+        assert isinstance(outcomes[0], RPCError)
+        assert "deadline" not in str(outcomes[0])
+        if not accepted.closed:
+            caller = threading.Thread(target=call)
+            caller.start()
+            request = _drain_frames(raw, decoder, 1)[0]
+            raw.sendall(encode_frame(FRAME_REPLY, request.corr_id, encode_payload("ok")))
+            caller.join(5.0)
+            assert outcomes[1] == "ok", "connection open but its reader is dead"
+        else:
+            assert accepted.close_reason
         raw.close()

@@ -23,6 +23,7 @@ from repro.core.wire import (
     FRAME_HELLO,
     FRAME_REQUEST,
     HEADER_SIZE,
+    MAX_DEPTH,
     MAX_FRAME,
     WIRE_VERSION,
     Frame,
@@ -142,12 +143,88 @@ class TestValueRoundTrips:
             encode_payload(Mystery())
 
     def test_unknown_tag_refused(self):
+        # An unknown type byte, and a record naming an unregistered tag.
         with pytest.raises(WireError, match="unknown wire tag"):
-            decode_payload(b'{"!t":"NoSuchTag","f":[]}')
+            decode_payload(b"\xff")
+        with pytest.raises(WireError, match="unknown wire tag"):
+            decode_payload(b"r\x09NoSuchTag")
 
     def test_malformed_payload_refused(self):
-        with pytest.raises(WireError, match="malformed frame payload"):
-            decode_payload(b"{not json")
+        valid = encode_payload({"to": "s0", "msg": CollectStats(now=1.5)})
+        for bad in (
+            b"",  # no value at all
+            valid[:-3],  # truncated float
+            valid + b"N",  # trailing bytes
+            b"s\x00\x00\x00\x09abc",  # string length past the end
+            b"l\xff\xff\xff\xffN",  # count past the end
+            b"s\x00\x00\x00\x01\xff",  # invalid UTF-8
+        ):
+            with pytest.raises(WireError, match="malformed frame payload"):
+                decode_payload(bad)
+
+    def test_scalar_subclasses_travel_as_scalars(self):
+        import numpy as np
+
+        out = round_trip([np.float64(2.5), True, 2**200, -(2**70), "\ud800"])
+        assert out == [2.5, True, 2**200, -(2**70), "\ud800"]
+        assert type(out[0]) is float
+
+    def test_dict_keys_stringified(self):
+        assert round_trip({1: "a", OperationType.OPEN: 2}) == {
+            "1": "a",
+            str(OperationType.OPEN): 2,
+        }
+
+
+class TestCanonical:
+    def test_dict_order_does_not_matter(self):
+        assert encode_payload({"b": 1, "a": 2}) == encode_payload({"a": 2, "b": 1})
+
+    def test_frozenset_members_sorted_by_encoding(self):
+        # Set iteration order is hash-salted per process; the encoding
+        # must not follow it.
+        members = ["x", "yy", 3, 1.5, (1, 2)]
+        assert encode_payload(frozenset(members)) == b"z\x00\x00\x00\x05" + b"".join(
+            sorted(encode_payload(member) for member in members)
+        )
+
+    def test_layout(self):
+        # The encoding is part of the protocol; changing it is a
+        # WIRE_VERSION bump, not a silent edit.
+        assert encode_payload({"k": [None, True, 7, 0.5]}) == (
+            b"m\x00\x00\x00\x01" b"\x00\x00\x00\x01k"
+            b"l\x00\x00\x00\x04" b"N" b"T"
+            b"i\x00\x00\x00\x00\x00\x00\x00\x07"
+            b"d\x3f\xe0\x00\x00\x00\x00\x00\x00"
+        )
+        assert encode_payload(CollectStats(now=0.5)) == (
+            b"r\x0cCollectStats" b"d\x3f\xe0\x00\x00\x00\x00\x00\x00"
+        )
+
+
+class TestDepthBound:
+    @staticmethod
+    def nest(depth):
+        value = None
+        for _ in range(depth):
+            value = [value]
+        return value
+
+    def test_max_depth_round_trips(self):
+        value = self.nest(MAX_DEPTH)
+        assert round_trip(value) == value
+
+    def test_encode_refuses_past_max_depth(self):
+        with pytest.raises(WireError, match="MAX_DEPTH"):
+            encode_payload(self.nest(MAX_DEPTH + 1))
+
+    def test_decode_refuses_past_max_depth(self):
+        payload = b"l\x00\x00\x00\x01" * (MAX_DEPTH + 1) + b"N"
+        with pytest.raises(WireError, match="MAX_DEPTH"):
+            decode_payload(payload)
+        # Far past the bound: refused without recursing that deep.
+        with pytest.raises(WireError, match="MAX_DEPTH"):
+            decode_payload(b"t\x00\x00\x00\x01" * 100_000 + b"N")
 
 
 class TestFraming:
@@ -229,6 +306,20 @@ class TestHandshake:
         )
         with pytest.raises(WireError, match="version mismatch"):
             check_hello(frame)
+
+    def test_foreign_header_version_refused_before_decoding(self):
+        # A version-1 peer's HELLO carries a JSON payload this side cannot
+        # decode; the refusal must still name both versions.
+        frame = Frame(
+            kind=FRAME_HELLO,
+            corr_id=0,
+            payload=b'{"peer":"old","version":1}',
+            version=1,
+        )
+        with pytest.raises(WireError, match="version mismatch") as info:
+            check_hello(frame)
+        assert "version 1" in str(info.value)
+        assert f"version {WIRE_VERSION}" in str(info.value)
 
     def test_non_hello_first_frame_refused(self):
         frame = Frame(kind=FRAME_REQUEST, corr_id=1, payload=b"{}")
