@@ -37,7 +37,8 @@ from repro.core.requests import (
     MDS_OP_KINDS,
     POSIX_SURFACE,
 )
-from repro.core.rpc import DelayedEnforceFabric, InMemoryFabric, RpcFabric, RpcMessage
+from repro.core.fabric import FaultyFabric, LinkProfile
+from repro.core.rpc import RpcMessage
 from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity, StageStats
 from repro.core.token_bucket import TokenBucket
 from repro.core.transport import InProcTransport, Transport
@@ -51,12 +52,12 @@ __all__ = [
     "ControlPlaneConfig",
     "DataPlaneStage",
     "Decision",
-    "DelayedEnforceFabric",
     "DominantResourceFairness",
-    "InMemoryFabric",
+    "FaultyFabric",
     "InProcTransport",
     "JobDemand",
     "JobInfo",
+    "LinkProfile",
     "MDS_OP_KINDS",
     "OperationClass",
     "OperationType",
@@ -67,7 +68,6 @@ __all__ = [
     "ProportionalSharing",
     "RateSchedule",
     "Request",
-    "RpcFabric",
     "RpcMessage",
     "RuleScope",
     "StageConfig",

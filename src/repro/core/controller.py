@@ -25,13 +25,8 @@ from repro.errors import ConfigError, PolicyError, RPCError, StageNotRegistered
 from repro.core.algorithms import AllocationAlgorithm, JobDemand, MIN_RATE
 from repro.core.policies import PolicyRule
 from repro.core.ringlog import RingLog
-from repro.core.rpc import (
-    CollectStats,
-    EnforceRate,
-    InMemoryFabric,
-    RpcFabric,
-    StageEndpoint,
-)
+from repro.core.fabric import FaultyFabric
+from repro.core.rpc import CollectStats, EnforceRate, StageEndpoint
 from repro.core.session import CollectSession
 from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
 from repro.simulation.rng import make_rng
@@ -152,13 +147,13 @@ class ControlPlane:
 
     def __init__(
         self,
-        fabric: Optional[RpcFabric] = None,
+        fabric: Optional[FaultyFabric] = None,
         config: Optional[ControlPlaneConfig] = None,
         algorithm: Optional[AllocationAlgorithm] = None,
         health_probe: Optional[Callable[[], bool]] = None,
         telemetry=None,
     ) -> None:
-        self.fabric = fabric if fabric is not None else InMemoryFabric()
+        self.fabric = fabric if fabric is not None else FaultyFabric()
         self.config = config or ControlPlaneConfig()
         self.algorithm = algorithm
         #: Optional PFS health check.  The control plane has global

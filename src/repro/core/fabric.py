@@ -2,9 +2,9 @@
 
 The paper's section VI defers control-plane dependability -- lost RPCs,
 controller lag, partitions -- to future work.  This module supplies the
-communication substrate those studies need: one fabric that can behave
-as every fabric the repository previously carried (synchronous
-in-process, latency-deferred, enforcement-lagged) *and* inject faults
+communication substrate those studies need: one fabric that covers
+every delivery mode the control plane uses (synchronous in-process,
+latency-deferred, enforcement-lagged) *and* injects faults
 deterministically:
 
 * per-link latency with seeded uniform jitter,
@@ -19,10 +19,8 @@ deterministic for a fixed seed.  The fabric never reads wall clocks --
 ``env.now`` is the only notion of time, and without an engine attached
 the fabric is purely synchronous and draws only loss decisions.
 
-The legacy classes (``InMemoryFabric``, ``SimFabric``,
-``DelayedEnforceFabric`` in :mod:`repro.core.rpc`) are thin shims over
-this one; their experiment-visible semantics are pinned by
-``tests/core/test_rpc.py``.
+Its delivery modes are pinned by ``tests/core/test_rpc.py`` and its
+fault injection by ``tests/core/test_fabric.py``.
 """
 
 from __future__ import annotations
@@ -76,10 +74,10 @@ class FaultyFabric:
     caller's deadline to notice.
 
     ``sync_messages`` lists message types that dispatch synchronously even
-    with an engine attached (the delayed-enforcement shim keeps collects
-    synchronous this way).  ``rewrite_now`` controls whether deferred
-    enforcement messages have their ``now`` field rewritten to arrival
-    time (a token bucket cannot refill into the past).
+    with an engine attached (the control-lag ablation keeps collects
+    synchronous this way).  Deferred messages carrying a ``now`` field
+    have it rewritten to arrival time (a token bucket cannot refill into
+    the past).
 
     The fabric is a *decorator* over a :class:`~repro.core.transport.
     Transport`: the registry and the actual delivery live in the inner
@@ -99,8 +97,6 @@ class FaultyFabric:
         seed: int = 0,
         telemetry=None,
         sync_messages: Tuple[type, ...] = (),
-        rewrite_now: bool = True,
-        async_reply: bool = True,
         clock: Optional[Callable[[], float]] = None,
         transport: Optional[Transport] = None,
     ) -> None:
@@ -120,10 +116,6 @@ class FaultyFabric:
         self._rng = make_rng(seed)
         self._telemetry = telemetry
         self._sync_messages = sync_messages
-        self._rewrite_now = rewrite_now
-        #: Whether ``call_async`` replies traverse the link again (second
-        #: latency/loss draw).  The SimFabric shim models a single leg.
-        self._async_reply = async_reply
         #: Scripted partition windows: (start, end, addresses-or-None).
         self._partitions: List[Tuple[float, float, Optional[frozenset]]] = []
         self.calls = 0
@@ -277,7 +269,7 @@ class FaultyFabric:
                 # Deregistered while in flight; drop silently.
                 return
             msg = message
-            if self._rewrite_now and hasattr(msg, "now"):
+            if hasattr(msg, "now"):
                 msg = replace(msg, now=env.now)
             try:
                 handler(msg)
@@ -291,8 +283,9 @@ class FaultyFabric:
         """Send a message for its *reply*: returns an Event.
 
         The event succeeds with the handler's return value after the
-        request (and, with ``async_reply``, the reply) traverses the
-        link; a handler exception fails it with :class:`RPCError`.  A
+        request and then the reply traverse the link (one latency/loss
+        draw per leg); a handler exception fails it with
+        :class:`RPCError`.  A
         lost leg means the event never fires -- callers own the deadline.
         """
         if self.env is None:
@@ -323,9 +316,6 @@ class FaultyFabric:
                 value = live(message)
             except Exception as exc:  # surface endpoint errors to the waiter
                 done.fail(RPCError(str(exc)))
-                return
-            if not self._async_reply:
-                done.succeed(value)
                 return
             # Reply leg: second latency/loss draw on the same link.
             reply_reason = self._undeliverable_reply(address)

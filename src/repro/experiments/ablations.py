@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.core.algorithms import ProportionalSharing
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
-from repro.core.rpc import DelayedEnforceFabric
+from repro.core.fabric import FaultyFabric, LinkProfile
+from repro.core.rpc import CollectStats, Ping
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
 from repro.workloads.abci import generate_mdt_trace
 
@@ -67,8 +68,16 @@ def sweep_control_lag(
     """
     points = []
     for latency in latencies:
+        # Collects stay synchronous (the loop needs an answer to compute
+        # with); enforcement lands ``latency`` seconds late.
         factory = (
-            (lambda env, l=latency: DelayedEnforceFabric(env, l))
+            (
+                lambda env, l=latency: FaultyFabric(
+                    env,
+                    link=LinkProfile(latency=l),
+                    sync_messages=(CollectStats, Ping),
+                )
+            )
             if latency > 0
             else None
         )

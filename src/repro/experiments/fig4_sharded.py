@@ -111,6 +111,7 @@ def run_fig4_sharded(
     placement: str = "split",
     vectorized: bool = True,
     dt: float = 1.0,
+    # Only "shm" (ConfigError otherwise): kept for callers that name it.
     fabric: str = "shm",
 ) -> Fig4ShardedResult:
     """Run the two-phase sharded fig4 story; defaults hit 10^6 clients.
@@ -119,12 +120,9 @@ def run_fig4_sharded(
     value produces bit-identical results (asserted by tests and CI), so
     pick it for wall-clock alone.  ``vectorized=False`` selects the
     scalar reference arithmetic -- the single-engine configuration the
-    speedup benchmarks compare against (it also selects the scalar
-    global control tier).  ``fabric`` picks the shard wire (``"shm"``
-    zero-copy arrays or ``"pipe"`` pickles) -- another bit-identical
-    axis, asserted by CI's ``sharded-smoke``.  ``dt`` sets the fluid
-    tick length; ``loop_interval`` must stay a multiple of it, so
-    ``dt < 1`` advances several fluid ticks per control epoch.
+    speedup benchmarks compare against.  ``dt`` sets the fluid tick
+    length; ``loop_interval`` must stay a multiple of it, so ``dt < 1``
+    advances several fluid ticks per control epoch.
     """
     if duration < 2 * step_period:
         raise ConfigError(

@@ -43,7 +43,7 @@ class LintConfig:
         "repro.simulation.sharded",
         # The shared-memory wire of the sharded engine: same explicit pin,
         # same reason -- a wall-clock read in the scatter/gather path would
-        # desynchronise the shm and pipe fabrics' bit-identity contract.
+        # break the in-process == worker-pool bit-identity contract.
         "repro.simulation.sharded.shm",
         "repro.pfs",
         "repro.core",

@@ -3,19 +3,24 @@
 :class:`ShardedSimulation` stitches the two halves together.  The data
 plane is a :class:`~repro.simulation.sharded.pool.ShardPool` of fluid
 racks; the control plane is a genuine
-:class:`~repro.core.hierarchy.HierarchicalControlPlane` whose locals are
+:class:`~repro.core.hierarchy.HierarchicalControlPlane` on its
+vectorised global tier, whose locals are
 :class:`~repro.core.hierarchy.RackEndpoint` proxies.  One *epoch* is one
 control loop interval:
 
 1. every shard advances its racks ``loop_interval / dt`` fluid ticks and
-   reports per-job demand partials (the barrier);
-2. the coordinator parks the partials behind the rack endpoints and runs
-   one ``cp.tick`` -- the plane's own demand merge, staleness handling,
-   policies and allocator produce :class:`~repro.core.hierarchy.EnforceJobRate`
-   pushes, which the endpoints buffer per rack;
-3. the buffered rates ride the *next* epoch command back out to the
-   shards (enforcement latency of one epoch, matching a real deployment
-   where the push RPC lands after the current window).
+   reports per-job demand partials as one float64 slot vector (the
+   barrier);
+2. the rack endpoints answer the plane's collects with
+   :class:`~repro.core.hierarchy.ArrayStats` slices over that vector,
+   and one ``cp.tick`` runs the plane's own demand merge, staleness
+   handling, policies and allocator;
+3. the resulting per-stage rates land in the scatter staging arrays --
+   the allocator's through the plane's ``enforce_array_sink``, policy
+   and scalar-only allocator (DRF) pushes through the endpoints'
+   enforce verbs -- and ride the *next* epoch back out to the shards
+   (enforcement latency of one epoch, matching a real deployment where
+   the push RPC lands after the current window).
 
 With *split-job* placement (``placement="split"``), stage ``s`` of job
 ``j`` lives on rack ``(j + s) % n_racks`` -- every multi-stage job spans
@@ -36,7 +41,6 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.core.controller import ControlPlaneConfig
 from repro.core.hierarchy import (
-    AggregateStats,
     ArrayStats,
     CollectAggregate,
     EnforceJobRate,
@@ -162,20 +166,14 @@ class ShardedSimulation:
     ``epoch_hook(control_plane, now)`` (optional) runs right before each
     ``cp.tick`` -- the fig4-style experiments use it to step the
     allocator's capacity on schedule.  ``vectorized=False`` forces every
-    rack onto the scalar per-stage reference arithmetic.
+    rack onto the scalar per-stage reference arithmetic; the digest is
+    bit-identical either way.
 
-    ``fabric`` selects the shard wire (``"shm"`` zero-copy arrays or
-    ``"pipe"`` pickled payloads) and ``use_workers`` forces or suppresses
-    resident worker processes -- both forwarded to :class:`ShardPool`,
-    neither able to change a computed float.  ``vector_control``
-    (defaulting to ``vectorized``) runs the global tier on the plane's
-    vectorised path: demand partials stay float64 arrays end-to-end
+    Demand partials stay float64 arrays end-to-end
     (:class:`~repro.core.hierarchy.ArrayStats` slices over the pool's
     index map), and the allocator's per-stage rates land directly in the
     next epoch's scatter arrays through the plane's
-    ``enforce_array_sink``.  ``vector_control=False`` with
-    ``vectorized=False`` is the all-scalar A/B reference; the digest is
-    bit-identical either way.
+    ``enforce_array_sink``.
     """
 
     def __init__(
@@ -187,22 +185,16 @@ class ShardedSimulation:
         controller_config: Optional[ControlPlaneConfig] = None,
         epoch_hook: Optional[Callable[[HierarchicalControlPlane, float], None]] = None,
         fabric: str = "shm",
-        vector_control: Optional[bool] = None,
-        use_workers: Optional[bool] = None,
         recv_timeout: float = 60.0,
     ) -> None:
+        # Shared memory is the only shard wire; the keyword stays for callers.
+        if fabric != "shm":
+            raise ConfigError(f"unknown shard fabric {fabric!r}")
         self.config = config
         self._epoch_hook = epoch_hook
         self._ran = False
         self._telemetry = telemetry
-        self._vector_control = (
-            bool(vectorized) if vector_control is None else bool(vector_control)
-        )
-        #: rack_id -> latest AggregateStats, refreshed at each barrier.
-        self._latest: Dict[str, AggregateStats] = {}
-        #: rack_id -> rate updates buffered by the enforce endpoints.
-        self._outbox: Dict[str, List[Tuple[str, float, Optional[float]]]] = {}
-        #: Per-slot demand partials of the latest barrier (vector mode).
+        #: Per-slot demand partials of the latest barrier.
         self._latest_vec: Optional[np.ndarray] = None
 
         # Global registration order: jobs outer, stages inner -- the same
@@ -242,14 +234,12 @@ class ShardedSimulation:
             blocks,
             config.fluid,
             vectorized=vectorized,
-            fabric=fabric,
-            use_workers=use_workers,
             recv_timeout=recv_timeout,
         )
-        # Scatter staging for the next epoch's enforcement (vector mode):
-        # slot writes land here during cp.tick -- policy pushes through
-        # the per-job verbs first, then the algorithm sink -- so chrono
-        # write order reproduces the outbox list's later-entry-wins.
+        # Scatter staging for the next epoch's enforcement: slot writes
+        # land here during cp.tick -- policy pushes through the per-job
+        # verbs first, then the algorithm sink -- so a later write to the
+        # same slot wins, as a later push would on the wire.
         n_slots = self._pool.n_slots
         self._flags = np.zeros(n_slots)
         self._rates_arr = np.zeros(n_slots)
@@ -262,10 +252,8 @@ class ShardedSimulation:
             config=controller_config,
             algorithm=algorithm,
             telemetry=telemetry,
-            vectorized=self._vector_control,
-            enforce_array_sink=(
-                self._enforce_array_sink if self._vector_control else None
-            ),
+            vectorized=True,
+            enforce_array_sink=self._enforce_array_sink,
         )
         for rack_id in self._rack_ids:
             self.control_plane.attach_local(
@@ -280,28 +268,19 @@ class ShardedSimulation:
             self.control_plane.register_remote(identity, rack_id)
 
     # -- RackEndpoint verbs -------------------------------------------------
-    def _collect_rack(
-        self, rack_id: str, message: CollectAggregate
-    ):
-        if self._vector_control:
-            index_map = self._pool.index_map
-            rack_index = self._rack_index[rack_id]
-            demand = self._latest_vec
-            if demand is None:
-                demand = np.zeros(self._pool.n_slots)
-            return ArrayStats(
-                local_id=rack_id,
-                timestamp=message.now,
-                job_ids=index_map.rack_job_ids[rack_index],
-                demand=demand[index_map.rack_slice(rack_id)],
-                stage_counts=index_map.rack_stage_counts[rack_index],
-            )
-        latest = self._latest.get(rack_id)
-        if latest is not None:
-            return AggregateStats(
-                local_id=rack_id, timestamp=message.now, jobs=latest.jobs
-            )
-        return AggregateStats(local_id=rack_id, timestamp=message.now, jobs=())
+    def _collect_rack(self, rack_id: str, message: CollectAggregate) -> ArrayStats:
+        index_map = self._pool.index_map
+        rack_index = self._rack_index[rack_id]
+        demand = self._latest_vec
+        if demand is None:
+            demand = np.zeros(self._pool.n_slots)
+        return ArrayStats(
+            local_id=rack_id,
+            timestamp=message.now,
+            job_ids=index_map.rack_job_ids[rack_index],
+            demand=demand[index_map.rack_slice(rack_id)],
+            stage_counts=index_map.rack_stage_counts[rack_index],
+        )
 
     def _slot_write(
         self, rack_id: str, job_id: str, rate: float, burst: Optional[float]
@@ -314,25 +293,14 @@ class ShardedSimulation:
         self._bursts_arr[slot] = BURST_NONE if burst is None else burst
 
     def _enforce_rack(self, rack_id: str, message: EnforceJobRate) -> bool:
-        if self._vector_control:
-            self._slot_write(rack_id, message.job_id, message.rate, message.burst)
-            return True
-        self._outbox.setdefault(rack_id, []).append(
-            (message.job_id, message.rate, message.burst)
-        )
+        self._slot_write(rack_id, message.job_id, message.rate, message.burst)
         return True
 
     def _enforce_rack_batch(
         self, rack_id: str, message: EnforceJobRateBatch
     ) -> bool:
-        if self._vector_control:
-            for job_id, rate, burst in message.entries:
-                self._slot_write(rack_id, job_id, rate, burst)
-            return True
-        # Batch entries are already (job_id, rate, burst) in allocation
-        # order -- exactly the outbox element type, so one extend
-        # replaces a per-job append per spanning job.
-        self._outbox.setdefault(rack_id, []).extend(message.entries)
+        for job_id, rate, burst in message.entries:
+            self._slot_write(rack_id, job_id, rate, burst)
         return True
 
     def _ensure_sink_layout(self) -> None:
@@ -378,69 +346,29 @@ class ShardedSimulation:
 
     # -- run loop -----------------------------------------------------------
     def run(self, duration: float) -> "ShardedSimulation":
-        """Advance ``duration`` seconds of simulated time; returns self."""
+        """Advance ``duration`` seconds of simulated time; returns self.
+
+        No per-job Python object is built per cycle: demand partials
+        come back as one float64 slot vector, and enforcement writes
+        land in the scatter staging arrays to ride the next epoch out.
+        """
         if self._ran:
             raise ConfigError("sharded simulation can only run once")
         config = self.config
-        epochs = duration / config.loop_interval
+        loop_interval = config.loop_interval
+        epochs = duration / loop_interval
         if duration <= 0 or abs(epochs - round(epochs)) > 1e-9:
             raise ConfigError(
                 "duration must be a positive multiple of loop_interval, got "
-                f"{duration} with loop_interval={config.loop_interval}"
+                f"{duration} with loop_interval={loop_interval}"
             )
         self._ran = True
-        n_epochs = int(round(epochs))
-        ticks_per_epoch = int(round(config.loop_interval / config.fluid.dt))
-        if self._vector_control:
-            return self._run_vector(n_epochs, ticks_per_epoch)
-        rates: Dict[str, List[Tuple[str, float, Optional[float]]]] = {}
-        for epoch in range(n_epochs):
-            t0 = epoch * config.loop_interval
-            partials = self._pool.run_epoch(
-                t0, ticks_per_epoch, config.loop_interval, rates
-            )
-            now = t0 + config.loop_interval
-            # Partial triples are already in JobAggregate field order
-            # and the plane unpacks them positionally, so they ride
-            # into AggregateStats unwrapped -- wrapping n_racks * n_jobs
-            # entries per epoch used to dominate this loop.
-            self._latest = {
-                rack_id: AggregateStats(
-                    local_id=rack_id, timestamp=now, jobs=jobs
-                )
-                for rack_id, jobs in partials
-            }
-            if self._epoch_hook is not None:
-                self._epoch_hook(self.control_plane, now)
-            self._outbox = {}
-            self.control_plane.tick(now)
-            rates = self._outbox
-            if self._telemetry is not None:
-                self._telemetry.events.emit(
-                    "shard.epoch",
-                    now,
-                    epoch=epoch,
-                    racks=len(self._latest),
-                    pushes=sum(len(v) for v in rates.values()),
-                )
-        return self
-
-    def _run_vector(self, n_epochs: int, ticks_per_epoch: int) -> "ShardedSimulation":
-        """Array-native epoch loop: no per-job Python objects per cycle.
-
-        Demand partials come back as one float64 slot vector, the rack
-        endpoints answer collects with :class:`ArrayStats` slices over
-        it, and enforcement writes land in the scatter staging arrays to
-        ride the *next* epoch out -- the same one-epoch enforcement
-        latency as the triple-based loop, bit-identical results.
-        """
-        config = self.config
-        loop_interval = config.loop_interval
+        ticks_per_epoch = int(round(loop_interval / config.fluid.dt))
         control_plane = self.control_plane
         pool = self._pool
         flags = self._flags
         telemetry = self._telemetry
-        for epoch in range(n_epochs):
+        for epoch in range(int(round(epochs))):
             t0 = epoch * loop_interval
             self._latest_vec = pool.run_epoch_arrays(
                 t0,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -147,7 +147,9 @@ class FluidRack:
     stage's token bucket grants ``min(backlog + arrivals, tokens)``, and
     the granted ops feed a rack-local MDS queue served at a fixed
     capacity.  Enforcement arrives between epochs as final per-stage
-    job rates (already split by the global plane -- no re-association).
+    job rates (already split by the global plane -- no re-association)
+    through :meth:`apply_rate_arrays`, and demand leaves through
+    :meth:`demand_partials_array`, both as per-job float64 arrays.
     """
 
     def __init__(
@@ -184,12 +186,6 @@ class FluidRack:
         self._job_of_list = job_of.tolist()
         n_jobs = len(self.job_ids)
         self._n_jobs = n_jobs
-        self._stage_counts = (
-            np.bincount(job_of, minlength=n_jobs)
-            if n
-            else np.zeros(0, dtype=np.intp)
-        )
-        self._stage_counts_list = [int(c) for c in self._stage_counts]
         self._job_rate = np.full(n_jobs, config.initial_rate)
         self._job_burst = self._job_rate * config.burst_seconds
         self.rate = self._job_rate[job_of]
@@ -204,46 +200,19 @@ class FluidRack:
         self._served: List[float] = []
 
     # -- enforcement --------------------------------------------------------
-    def apply_rates(
-        self, updates: Sequence[Tuple[str, float, Optional[float]]]
-    ) -> None:
-        """Install per-stage job rates pushed by the global plane.
-
-        ``updates`` is applied in list order (a later entry for the same
-        job wins, matching enforcement-push order within a cycle).  The
-        array rebuild below is identical arithmetic in both execution
-        modes -- fancy indexing only gathers, it never re-associates.
-        """
-        if not updates:
-            return
-        burst_seconds = self.config.burst_seconds
-        for job_id, rate, burst in updates:
-            idx = self._job_index.get(job_id)
-            if idx is None:
-                continue
-            self._job_rate[idx] = rate
-            self._job_burst[idx] = (
-                rate * burst_seconds if burst is None else burst
-            )
-        job_of = self.job_of
-        self.rate = self._job_rate[job_of]
-        self.burst_limit = self._job_burst[job_of]
-        np.minimum(self.tokens, self.burst_limit, out=self.tokens)
-
     def apply_rate_arrays(
         self, mask: np.ndarray, rates: np.ndarray, bursts: np.ndarray
     ) -> None:
-        """Install rates from fixed-layout per-job arrays (the shm wire).
+        """Install per-stage job rates pushed by the global plane.
 
         ``mask``/``rates``/``bursts`` are aligned to this rack's local job
         slots (registration order, the :class:`~repro.simulation.sharded.shm.
-        ShardIndexMap` layout); NaN in ``bursts`` means "derive from the
-        rate" exactly like ``burst=None`` above.  Per slot this performs
-        the same assignment and ``rate * burst_seconds`` multiply as
-        :meth:`apply_rates` -- assignments and elementwise multiplies are
-        bit-identical scalar-vs-vector, so either entry point yields the
-        same rack state.  Used by the shared-memory fabric in both
-        execution modes.
+        ShardIndexMap` layout); ``mask`` selects the jobs with an update
+        and NaN in ``bursts`` means "derive from the rate"
+        (``rate * burst_seconds``).  Assignments and elementwise
+        multiplies are bit-identical scalar-vs-vector, so this one entry
+        point serves both execution modes.  Accumulated tokens are
+        clamped to the new burst caps.
         """
         if not mask.any():
             return
@@ -345,35 +314,16 @@ class FluidRack:
             self.tick(t0 + k * dt)
 
     # -- epoch-boundary reporting -------------------------------------------
-    def demand_partials(
-        self, loop_interval: float
-    ) -> Tuple[Tuple[str, float, int], ...]:
-        """Per-job ``(job_id, demand, n_stages)`` partials, then reset.
+    def demand_partials_array(self, loop_interval: float) -> np.ndarray:
+        """Per-job demand partials as a float64 array, then reset.
 
         The per-stage expression is the hierarchy's exact one --
         ``enqueued/window + backlog/loop_interval`` -- accumulated per
         job in stage-registration order (``np.bincount`` element order
         == the scalar loop == ``LocalController._collect_aggregate``'s
-        dict accumulation from 0.0).
-        """
-        if self._n == 0:
-            return ()
-        per_job = self.demand_partials_array(loop_interval)
-        # tolist() yields the same Python floats as per-element float()
-        # casts; zip builds the triples at C speed -- this is the
-        # per-epoch reporting path for every job on every rack.
-        return tuple(
-            zip(self.job_ids, per_job.tolist(), self._stage_counts_list)
-        )
-
-    def demand_partials_array(self, loop_interval: float) -> np.ndarray:
-        """Per-job demand partials as a float64 array, then reset.
-
-        Same accumulation as :meth:`demand_partials` (it delegates here)
-        without materialising ``(job_id, demand, n_stages)`` triples: the
-        shared-memory fabric ships this array over the wire verbatim and
+        dict accumulation from 0.0).  Entries follow :attr:`job_ids`;
         the static index map supplies ids and stage counts, so the
-        per-epoch reporting path allocates no Python tuples at all.
+        shard wire ships this array verbatim.
         """
         contrib = self.window_enqueued / loop_interval + self.backlog / loop_interval
         if self.vectorized:

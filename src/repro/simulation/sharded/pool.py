@@ -12,25 +12,19 @@ sub-worlds.  The coordinator drives them in lock-step epochs:
    demand signal is a pure function of the global rack order, not of
    worker scheduling.
 
-Two wire fabrics implement that barrier:
-
-* ``fabric="shm"`` (default) -- the zero-copy wire of
-  :mod:`repro.simulation.sharded.shm`: rates scatter and demand partials
-  gather through double-buffered shared-memory float64 blocks laid out
-  by a frozen :class:`~repro.simulation.sharded.shm.ShardIndexMap`, and
-  the pipe carries only a tiny ``("epoch", n, parity, ...)`` doorbell
-  and its ``("done", n)`` ack.
-* ``fabric="pipe"`` -- the original pickled-payload protocol, kept as
-  the A/B reference; tests assert both fabrics produce bit-identical
-  digests.
+The wire is the zero-copy format of :mod:`repro.simulation.sharded.shm`:
+rates scatter and demand partials gather through double-buffered
+shared-memory float64 blocks laid out by a frozen
+:class:`~repro.simulation.sharded.shm.ShardIndexMap`, and the pipe
+carries only a tiny ``("epoch", n, parity, ...)`` doorbell and its
+``("done", n)`` ack.
 
 Because racks are sealed sub-worlds that only exchange state at epoch
-boundaries, neither the blocking (1 process or N) nor the fabric can
-change any computed float -- shard-count and fabric invariance are
-structural.  ``ShardPool(n_shards=1)`` runs in-process with no worker at
-all (the "single-engine" configuration the tests compare against)
-unless ``use_workers=True`` forces a resident worker, which is how the
-fabric-equality tests exercise a real wire at one shard.
+boundaries, the blocking (1 process or N) cannot change any computed
+float -- shard-count invariance is structural.  ``ShardPool`` with one
+shard runs in-process with no worker and no wire (the "single-engine"
+configuration the tests compare against); two or more shards get one
+resident worker each.
 
 Failure containment: every gather waits with a reply deadline
 (``recv_timeout``, counted down in fixed ``poll()`` slices -- no
@@ -38,8 +32,9 @@ wall-clock reads in this deterministic layer) and probes worker
 liveness, raising :class:`~repro.errors.ShardWorkerError` naming the
 dead shard and its racks instead of deadlocking the coordinator; the
 pool closes itself (joining with timeout, then terminate, then kill)
-and unlinks its shared-memory segments on close, on worker failure, and
-via an ``atexit`` guard, so no ``/dev/shm`` segment outlives the run.
+and unlinks its shared-memory segments on close, on worker failure, on
+a failed start-up, and via an ``atexit`` guard, so no ``/dev/shm``
+segment outlives the run.
 """
 
 from __future__ import annotations
@@ -65,7 +60,9 @@ from repro.simulation.sharded.shm import (
 
 __all__ = ["RackFinal", "ShardPool"]
 
+#: One rate push for :meth:`ShardPool.run_epoch`: ``(job_id, rate, burst)``.
 RateUpdate = Tuple[str, float, Optional[float]]
+#: One rack's per-job demand partials: ``(job_id, demand, n_stages)``.
 Partials = Tuple[Tuple[str, float, int], ...]
 
 #: Seconds per liveness-check slice while waiting on a shard reply.
@@ -103,50 +100,25 @@ def _rack_final(rack: FluidRack) -> RackFinal:
     )
 
 
-def _run_shard_epoch(
-    racks: Sequence[FluidRack],
+def _advance(
+    rack: FluidRack,
+    flags: np.ndarray,
+    rates: np.ndarray,
+    bursts: np.ndarray,
     t0: float,
     n_ticks: int,
     loop_interval: float,
-    rates: Dict[str, List[RateUpdate]],
-) -> List[Tuple[str, Partials]]:
-    """Advance one shard's racks through an epoch; used by both modes."""
-    out: List[Tuple[str, Partials]] = []
-    for rack in racks:
-        updates = rates.get(rack.rack_id)
-        if updates:
-            rack.apply_rates(updates)
-        rack.run_epoch(t0, n_ticks)
-        out.append((rack.rack_id, rack.demand_partials(loop_interval)))
-    return out
-
-
-def _shard_worker(conn, specs, config, vectorized) -> None:
-    """Pipe-fabric worker loop: pickled epoch payloads, kept for A/B."""
-    racks = [FluidRack(spec, config, vectorized=vectorized) for spec in specs]
-    try:
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "epoch":
-                _op, t0, n_ticks, loop_interval, rates = msg
-                conn.send(_run_shard_epoch(racks, t0, n_ticks, loop_interval, rates))
-            elif op == "finish":
-                conn.send([_rack_final(rack) for rack in racks])
-            elif op == "stop":
-                break
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown shard command {op!r}")
-    except EOFError:  # pragma: no cover - coordinator died
-        pass
-    finally:
-        conn.close()
+) -> np.ndarray:
+    """One rack's epoch: install its slot rates, tick, report partials."""
+    rack.apply_rate_arrays(flags != 0.0, rates, bursts)
+    rack.run_epoch(t0, n_ticks)
+    return rack.demand_partials_array(loop_interval)
 
 
 def _shard_worker_shm(
     conn, specs, config, vectorized, seg_names, n_slots, block_start, block_token
 ) -> None:
-    """Shared-memory worker loop: doorbell pipe + float64 block wire.
+    """Worker loop: doorbell pipe + shared-memory float64 block wire.
 
     The worker rebuilds the index map for its own rack block and refuses
     to serve if its layout token disagrees with the coordinator's --
@@ -176,12 +148,15 @@ def _shard_worker_shm(
                 gather = buffers.gather[parity]
                 for rack, sl in zip(racks, slices):
                     block = scatter[sl]
-                    mask = block[:, COL_FLAG] != 0.0
-                    rack.apply_rate_arrays(
-                        mask, block[:, COL_RATE], block[:, COL_BURST]
+                    gather[sl] = _advance(
+                        rack,
+                        block[:, COL_FLAG],
+                        block[:, COL_RATE],
+                        block[:, COL_BURST],
+                        t0,
+                        n_ticks,
+                        loop_interval,
                     )
-                    rack.run_epoch(t0, n_ticks)
-                    gather[sl] = rack.demand_partials_array(loop_interval)
                 conn.send(("done", epoch_no))
             elif op == "finish":
                 conn.send([_rack_final(rack) for rack in racks])
@@ -200,10 +175,9 @@ class ShardPool:
     """Farms rack blocks over resident worker processes.
 
     ``shards`` is a list of rack-spec blocks, one per shard, in global
-    rack order.  A single shard runs in-process by default -- no worker,
-    no wire -- which doubles as the reference single-engine execution;
-    ``use_workers`` forces (``True``) or suppresses (``False``) resident
-    workers regardless of shard count.
+    rack order.  A single shard runs in-process -- no worker, no wire --
+    which doubles as the reference single-engine execution; two or more
+    shards get one resident worker each.
 
     When the constructing process is itself a daemonic pool worker (the
     ``SweepRunner`` case), spawning shard processes is forbidden by the
@@ -212,11 +186,9 @@ class ShardPool:
     across shard counts, so a sweep cell computes the same digest either
     way while the sweep pool supplies the cross-cell parallelism.
 
-    Two epoch APIs share one barrier: :meth:`run_epoch` speaks the
-    legacy per-rack update-list / demand-triple dialect, and
-    :meth:`run_epoch_arrays` speaks fixed-layout per-slot float arrays
-    (the :attr:`index_map` order).  Each converts to the other where the
-    active fabric is not native, so either API runs on either fabric.
+    :meth:`run_epoch_arrays` is the epoch API: fixed-layout per-slot
+    float arrays in :attr:`index_map` order.  :meth:`run_epoch` is a thin
+    adapter over it for callers holding per-rack update lists.
     """
 
     def __init__(
@@ -224,21 +196,16 @@ class ShardPool:
         shards: Sequence[Sequence[RackSpec]],
         config: FluidConfig,
         vectorized: bool = True,
-        fabric: str = "shm",
-        use_workers: Optional[bool] = None,
         recv_timeout: float = 60.0,
     ) -> None:
         if not shards:
             raise ConfigError("need at least one shard")
-        if fabric not in ("shm", "pipe"):
-            raise ConfigError(f"unknown shard fabric {fabric!r}")
         if not (recv_timeout > 0 and math.isfinite(recv_timeout)):
             raise ConfigError(
                 f"recv_timeout must be positive and finite, got {recv_timeout}"
             )
         blocks = [tuple(block) for block in shards]
         self._n_shards = len(blocks)
-        self.fabric = fabric
         self._recv_timeout = float(recv_timeout)
         self._closed = False
         self._local_racks: Optional[List[FluidRack]] = None
@@ -252,54 +219,46 @@ class ShardPool:
         all_specs = [spec for block in blocks for spec in block]
         self.index_map = ShardIndexMap(all_specs)
         self.n_slots = self.index_map.n_slots
-        in_daemon = multiprocessing.current_process().daemon
-        if use_workers is None:
-            use_workers = self._n_shards > 1
-        if not use_workers or in_daemon:
+        if self._n_shards == 1 or multiprocessing.current_process().daemon:
             self._local_racks = [
                 FluidRack(spec, config, vectorized=vectorized)
                 for spec in all_specs
             ]
             return
         ctx = multiprocessing.get_context(pool_start_method())
-        if fabric == "shm":
+        try:
             self._buffers = ShardBuffers(self.n_slots)
             seg_names = self._buffers.names
             block_start = 0
             for block in blocks:
                 block_map = ShardIndexMap(block)
                 parent, child = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_shard_worker_shm,
-                    args=(
-                        child,
-                        block,
-                        config,
-                        vectorized,
-                        seg_names,
-                        self.n_slots,
-                        block_start,
-                        block_map.layout_token(),
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self._procs.append(proc)
                 self._conns.append(parent)
+                try:
+                    proc = ctx.Process(
+                        target=_shard_worker_shm,
+                        args=(
+                            child,
+                            block,
+                            config,
+                            vectorized,
+                            seg_names,
+                            self.n_slots,
+                            block_start,
+                            block_map.layout_token(),
+                        ),
+                        daemon=True,
+                    )
+                    proc.start()
+                finally:
+                    child.close()
+                self._procs.append(proc)
                 block_start += block_map.n_slots
-        else:
-            for block in blocks:
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_shard_worker,
-                    args=(child, block, config, vectorized),
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self._procs.append(proc)
-                self._conns.append(parent)
+        except BaseException:
+            # A worker that fails to start (EAGAIN, a spawn error) must
+            # not strand its already-running siblings or the segments.
+            self.close()
+            raise
         # Belt over braces: if the owner never reaches close() (unhandled
         # error up-stack, interpreter teardown), the atexit guard still
         # unlinks the segments and reaps the workers.
@@ -385,7 +344,7 @@ class ShardPool:
             raise
         return out
 
-    # -- array epoch API (shm-native) ---------------------------------------
+    # -- epoch API ---------------------------------------------------------
     def run_epoch_arrays(
         self,
         t0: float,
@@ -405,13 +364,14 @@ class ShardPool:
         if self._closed:
             raise ConfigError("pool is closed")
         if self._local_racks is not None:
-            return self._run_epoch_arrays_local(
-                t0, n_ticks, loop_interval, flags, rates, bursts
-            )
-        if self._buffers is None:
-            return self._arrays_via_pipe(
-                t0, n_ticks, loop_interval, flags, rates, bursts
-            )
+            out = np.empty(self.n_slots)
+            for rack in self._local_racks:
+                sl = self.index_map.rack_slice(rack.rack_id)
+                out[sl] = _advance(
+                    rack, flags[sl], rates[sl], bursts[sl],
+                    t0, n_ticks, loop_interval,
+                )
+            return out
         epoch_no = self._epoch
         parity = epoch_no & 1
         scatter = self._buffers.scatter[parity]
@@ -433,46 +393,6 @@ class ShardPool:
         self._epoch = epoch_no + 1
         return self._buffers.gather[parity].copy()
 
-    def _run_epoch_arrays_local(
-        self, t0, n_ticks, loop_interval, flags, rates, bursts
-    ) -> np.ndarray:
-        out = np.empty(self.n_slots)
-        for rack in self._local_racks:
-            sl = self.index_map.rack_slice(rack.rack_id)
-            rack.apply_rate_arrays(flags[sl] != 0.0, rates[sl], bursts[sl])
-            rack.run_epoch(t0, n_ticks)
-            out[sl] = rack.demand_partials_array(loop_interval)
-        return out
-
-    def _arrays_via_pipe(
-        self, t0, n_ticks, loop_interval, flags, rates, bursts
-    ) -> np.ndarray:
-        """Array API on the pipe fabric: convert, ship pickles, convert back."""
-        index_map = self.index_map
-        updates: Dict[str, List[RateUpdate]] = {}
-        for rack_id, job_ids in zip(index_map.rack_ids, index_map.rack_job_ids):
-            sl = index_map.rack_slice(rack_id)
-            rack_updates: List[RateUpdate] = []
-            for k in np.flatnonzero(flags[sl]).tolist():
-                slot = sl.start + k
-                burst = float(bursts[slot])
-                rack_updates.append(
-                    (
-                        job_ids[k],
-                        float(rates[slot]),
-                        None if math.isnan(burst) else burst,
-                    )
-                )
-            if rack_updates:
-                updates[rack_id] = rack_updates
-        merged = self.run_epoch(t0, n_ticks, loop_interval, updates)
-        out = np.empty(self.n_slots)
-        for rack_id, partials in merged:
-            sl = index_map.rack_slice(rack_id)
-            out[sl] = [demand for _job_id, demand, _n in partials]
-        return out
-
-    # -- legacy dict/triple epoch API ---------------------------------------
     def run_epoch(
         self,
         t0: float,
@@ -480,31 +400,12 @@ class ShardPool:
         loop_interval: float,
         rates: Dict[str, List[RateUpdate]],
     ) -> List[Tuple[str, Partials]]:
-        """Advance every shard one epoch; partials merge in rack order."""
-        if self._closed:
-            raise ConfigError("pool is closed")
-        if self._local_racks is not None:
-            return _run_shard_epoch(
-                self._local_racks, t0, n_ticks, loop_interval, rates
-            )
-        if self._buffers is not None:
-            return self._dicts_via_shm(t0, n_ticks, loop_interval, rates)
-        # Scatter to all shards before gathering any reply (parallelism),
-        # then gather in shard order (deterministic merge).
-        for shard in range(len(self._conns)):
-            self._send(shard, ("epoch", t0, n_ticks, loop_interval, rates))
-        merged: List[Tuple[str, Partials]] = []
-        for reply in self._gather(self._await_reply):
-            merged.extend(reply)
-        return merged
+        """:meth:`run_epoch_arrays` for per-rack update lists.
 
-    def _dicts_via_shm(
-        self, t0, n_ticks, loop_interval, rates
-    ) -> List[Tuple[str, Partials]]:
-        """Dict API on the shm fabric: convert, ship floats, convert back.
-
-        Update lists apply in order with later-entry-wins semantics;
-        sequential slot overwrites below reproduce exactly that.
+        ``rates`` maps a rack id to ``(job_id, rate, burst)`` pushes,
+        applied in list order with later-entry-wins semantics (sequential
+        slot overwrites reproduce exactly that; unknown pairs are
+        skipped).  Returns ``(rack_id, partials)`` in global rack order.
         """
         index_map = self.index_map
         flags = np.zeros(self.n_slots)
@@ -584,7 +485,7 @@ class ShardPool:
                 buffers.close()
                 buffers.unlink()
 
-    #: The ISSUE speaks of ``stop()``; it is the same operation as close.
+    #: ``stop()`` is the same operation as close.
     stop = close
 
     def __enter__(self) -> "ShardPool":

@@ -1,4 +1,10 @@
-"""Tests for the RPC fabric and the stage endpoint."""
+"""Tests for the RPC fabric's delivery modes and the stage endpoint.
+
+:class:`FaultyFabric` without an engine is the synchronous in-memory
+fabric; with an engine and a latency it is the simulated fabric; with
+``sync_messages`` it is the delayed-enforcement fabric of the control-lag
+ablation.  Fault injection proper lives in ``test_fabric.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +12,14 @@ import pytest
 
 from repro.errors import RPCError, StageNotRegistered
 from repro.core.differentiation import ClassifierRule
+from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.requests import OperationClass, OperationType, Request
 from repro.core.rpc import (
     CollectStats,
     CreateChannel,
     EnforceRate,
-    InMemoryFabric,
     InstallRule,
     Ping,
-    SimFabric,
     StageEndpoint,
 )
 from repro.core.stage import DataPlaneStage, StageIdentity
@@ -24,26 +29,38 @@ def make_stage():
     return DataPlaneStage(StageIdentity("s0", "job0"), lambda req: None)
 
 
+def sim_fabric(env, latency):
+    return FaultyFabric(env, link=LinkProfile(latency=latency))
+
+
+def delayed_enforce_fabric(env, latency):
+    return FaultyFabric(
+        env, link=LinkProfile(latency=latency), sync_messages=(CollectStats, Ping)
+    )
+
+
 class TestInMemoryFabric:
+    """Engine-less FaultyFabric: synchronous dispatch, drops raise."""
+
     def test_bind_call(self):
-        fabric = InMemoryFabric()
+        fabric = FaultyFabric()
         fabric.bind("addr", lambda msg: "pong")
         assert fabric.call("addr", Ping()) == "pong"
         assert fabric.calls == 1
 
     def test_double_bind_rejected(self):
-        fabric = InMemoryFabric()
+        fabric = FaultyFabric()
         fabric.bind("addr", lambda m: None)
         with pytest.raises(RPCError):
             fabric.bind("addr", lambda m: None)
 
     def test_unknown_address(self):
-        fabric = InMemoryFabric()
+        fabric = FaultyFabric()
         with pytest.raises(StageNotRegistered):
             fabric.call("ghost", Ping())
 
     def test_unbind(self):
-        fabric = InMemoryFabric()
+        fabric = FaultyFabric()
         fabric.bind("addr", lambda m: None)
         fabric.unbind("addr")
         with pytest.raises(StageNotRegistered):
@@ -52,7 +69,7 @@ class TestInMemoryFabric:
             fabric.unbind("addr")
 
     def test_drop_injection(self):
-        fabric = InMemoryFabric(drop_fn=lambda addr, msg: isinstance(msg, Ping))
+        fabric = FaultyFabric(drop_fn=lambda addr, msg: isinstance(msg, Ping))
         fabric.bind("addr", lambda m: "ok")
         with pytest.raises(RPCError, match="dropped"):
             fabric.call("addr", Ping())
@@ -94,8 +111,10 @@ class TestStageEndpoint:
 
 
 class TestSimFabric:
+    """Engine-attached FaultyFabric with a fixed-latency link."""
+
     def test_latency_defers_effect(self, env):
-        fabric = SimFabric(env, latency=3.0)
+        fabric = sim_fabric(env, latency=3.0)
         stage = make_stage()
         stage.create_channel("metadata", rate=100.0)
         fabric.bind("s0", StageEndpoint(stage).handle)
@@ -105,7 +124,7 @@ class TestSimFabric:
         assert stage.channel_rate("metadata") == 1.0
 
     def test_call_async_returns_response(self, env):
-        fabric = SimFabric(env, latency=2.0)
+        fabric = sim_fabric(env, latency=2.0)
         fabric.bind("s0", lambda m: "answer")
         got = []
 
@@ -115,10 +134,11 @@ class TestSimFabric:
 
         env.process(proc())
         env.run()
-        assert got == [(2.0, "answer")]
+        # The request and the reply each cross the 2 s link.
+        assert got == [(4.0, "answer")]
 
     def test_endpoint_error_becomes_rpc_error(self, env):
-        fabric = SimFabric(env, latency=1.0)
+        fabric = sim_fabric(env, latency=1.0)
 
         def broken(msg):
             raise ValueError("internal")
@@ -138,14 +158,14 @@ class TestSimFabric:
 
     def test_negative_latency_rejected(self, env):
         with pytest.raises(RPCError):
-            SimFabric(env, latency=-1.0)
+            sim_fabric(env, latency=-1.0)
 
 
 class TestDelayedEnforceFabric:
-    def test_enforcement_delayed_and_clock_rewritten(self, env):
-        from repro.core.rpc import DelayedEnforceFabric
+    """Collects stay synchronous while enforcement lags the link."""
 
-        fabric = DelayedEnforceFabric(env, latency=3.0)
+    def test_enforcement_delayed_and_clock_rewritten(self, env):
+        fabric = delayed_enforce_fabric(env, latency=3.0)
         stage = make_stage()
         stage.create_channel("metadata", rate=100.0)
         fabric.bind("s0", StageEndpoint(stage).handle)
@@ -158,18 +178,14 @@ class TestDelayedEnforceFabric:
         assert stage.channel_rate("metadata") == 1.0
 
     def test_collect_stays_synchronous(self, env):
-        from repro.core.rpc import DelayedEnforceFabric
-
-        fabric = DelayedEnforceFabric(env, latency=5.0)
+        fabric = delayed_enforce_fabric(env, latency=5.0)
         stage = make_stage()
         fabric.bind("s0", StageEndpoint(stage).handle)
         stats = fabric.call("s0", CollectStats(now=0.0))
         assert stats is not None
 
     def test_message_to_deregistered_stage_dropped(self, env):
-        from repro.core.rpc import DelayedEnforceFabric
-
-        fabric = DelayedEnforceFabric(env, latency=2.0)
+        fabric = delayed_enforce_fabric(env, latency=2.0)
         stage = make_stage()
         stage.create_channel("metadata", rate=100.0)
         fabric.bind("s0", StageEndpoint(stage).handle)
@@ -179,10 +195,8 @@ class TestDelayedEnforceFabric:
         assert stage.channel_rate("metadata") == 100.0
 
     def test_negative_latency_rejected(self, env):
-        from repro.core.rpc import DelayedEnforceFabric
-
         with pytest.raises(RPCError):
-            DelayedEnforceFabric(env, latency=-1.0)
+            delayed_enforce_fabric(env, latency=-1.0)
 
 
 class TestRemovalMessages:

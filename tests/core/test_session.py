@@ -160,7 +160,7 @@ class TestAsyncCollect:
         assert config.async_collect is False
         cp = ControlPlane(config=config)
         cp.register(make_stage("s0", "jobA"))
-        cp.tick(0.0)  # InMemoryFabric, no engine: must not need call_async
+        cp.tick(0.0)  # engine-less FaultyFabric: must not need call_async
         assert cp.collect_failures == 0
 
 

@@ -5,7 +5,9 @@ The contracts under test (see ``repro.simulation.sharded.fluid``):
 * scalar (``vectorized=False``) and vectorised execution produce
   bit-identical state and outputs;
 * the full-run digest is identical for 1 shard and N shards, including
-  real multi-process pools;
+  real multi-process pools, and equals golden digests recorded before
+  the pipe wire, the dict epoch loop and the scalar control tier were
+  deleted (proportional sharing, DRF, and policy + reservation);
 * demand partials follow the hierarchy's exact per-stage expression;
 * enforcement pushed by the global plane genuinely caps throughput.
 """
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.core.algorithms import ProportionalSharing
+from repro.core.algorithms import DominantResourceFairness, ProportionalSharing
+from repro.core.policies import PolicyRule, RuleScope, SteppedRate
 from repro.simulation.sharded import (
     UNLIMITED,
     FluidConfig,
@@ -57,6 +60,20 @@ def run_result(config, capacity=None, duration=30.0, vectorized=True):
     return sim.finish()
 
 
+def push(rack, *updates):
+    """Install ``(job_id, rate, burst)`` updates via the array verb."""
+    n = len(rack.job_ids)
+    mask = np.zeros(n, dtype=bool)
+    rates = np.zeros(n)
+    bursts = np.full(n, np.nan)
+    for job_id, rate, burst in updates:
+        k = rack.job_ids.index(job_id)
+        mask[k] = True
+        rates[k] = rate
+        bursts[k] = np.nan if burst is None else burst
+    rack.apply_rate_arrays(mask, rates, bursts)
+
+
 def make_spec(n_stages=6, n_jobs=2, index=0):
     return RackSpec(
         rack_id=f"rack{index}",
@@ -78,7 +95,7 @@ class TestFluidRack:
         for t in range(40):
             if t == 15:
                 for rack in (vec, ref):
-                    rack.apply_rates([("job0", 12.5, None)])
+                    push(rack, ("job0", 12.5, None))
             vec.tick(float(t))
             ref.tick(float(t))
         assert np.array_equal(vec.tokens, ref.tokens)
@@ -87,7 +104,9 @@ class TestFluidRack:
         assert np.array_equal(vec.served_series(), ref.served_series())
         assert vec.delivered_ops == ref.delivered_ops
         assert vec.total_backlog() == ref.total_backlog()
-        assert vec.demand_partials(1.0) == ref.demand_partials(1.0)
+        assert np.array_equal(
+            vec.demand_partials_array(1.0), ref.demand_partials_array(1.0)
+        )
 
     def test_demand_partials_follow_hierarchy_expression(self):
         spec = make_spec(n_stages=6, n_jobs=2)
@@ -103,16 +122,16 @@ class TestFluidRack:
         for i, (_stage, job_id) in enumerate(spec.stages):
             contrib = enqueued[i] / loop_interval + backlog[i] / loop_interval
             expected[job_id] = expected.get(job_id, 0.0) + contrib
-        partials = rack.demand_partials(loop_interval)
-        assert {j: d for j, d, _ in partials} == expected
-        assert {j: n for j, _, n in partials} == {"job0": 3, "job1": 3}
+        partials = rack.demand_partials_array(loop_interval)
+        assert dict(zip(rack.job_ids, partials.tolist())) == expected
+        assert rack.job_ids == ["job0", "job1"]
         # The enqueued window resets at the epoch boundary.
         assert np.all(rack.window_enqueued == 0.0)
 
     def test_rates_start_unlimited_and_clamp_tokens_on_cut(self):
         rack = FluidRack(make_spec(), small_fluid())
         assert np.all(rack.rate == UNLIMITED)
-        rack.apply_rates([("job0", 10.0, None)])
+        push(rack, ("job0", 10.0, None))
         job0 = rack.job_of == 0
         assert np.all(rack.rate[job0] == 10.0)
         assert np.all(rack.burst_limit[job0] == 10.0 * rack.config.burst_seconds)
@@ -120,16 +139,22 @@ class TestFluidRack:
         assert np.all(rack.tokens[job0] <= rack.burst_limit[job0])
 
     def test_unknown_job_and_later_entry_wins(self):
-        rack = FluidRack(make_spec(), small_fluid())
-        rack.apply_rates([("ghost", 1.0, None), ("job1", 5.0, None), ("job1", 9.0, None)])
-        assert np.all(rack.rate[rack.job_of == 1] == 9.0)
+        # The pool's update-list adapter: unknown jobs are skipped and a
+        # later push for the same job overwrites an earlier one.
+        with ShardPool([[make_spec()]], small_fluid()) as pool:
+            pool.run_epoch(0.0, 0, 1.0, {"rack0": [
+                ("ghost", 1.0, None), ("job1", 5.0, None), ("job1", 9.0, None),
+            ]})
+            rack = pool._local_racks[0]
+            assert np.all(rack.rate[rack.job_of == 1] == 9.0)
+            assert np.all(rack.rate[rack.job_of == 0] == UNLIMITED)
 
     def test_empty_rack_ticks_and_reports_nothing(self):
         rack = FluidRack(
             RackSpec(rack_id="rack0", index=0, stages=()), small_fluid()
         )
         assert rack.tick(0.0) == 0.0
-        assert rack.demand_partials(1.0) == ()
+        assert rack.demand_partials_array(1.0).size == 0
         assert rack.total_backlog() == 0.0
 
     def test_config_validation(self):
@@ -187,6 +212,65 @@ class TestShardInvariance:
         assert float(np.sum(result.rack_served["rack1"])) == 0.0
 
 
+def drf():
+    return DominantResourceFairness(
+        {"mds": 150.0, "oss": 400.0},
+        {f"job{j}": {"mds": 1.0, "oss": 0.5 + 0.5 * j} for j in range(6)},
+    )
+
+
+def with_policy_and_reservation(control_plane):
+    control_plane.install_policy(
+        PolicyRule(
+            "cap1",
+            RuleScope(control_plane.config.algorithm_channel, "job1"),
+            SteppedRate([(0, 9), (10, 4)]),
+            burst=20,
+            priority=5,
+        )
+    )
+    control_plane.set_reservation("job2", 30)
+
+
+class TestGoldenDigests:
+    """Full digests of ``small_config()`` over 30 s, recorded before the
+    pipe shard wire, the dict epoch loop and the scalar global tier were
+    deleted: every path then in the tree (pipe and shm, 1/2/4 shards,
+    scalar and vector control) produced exactly these."""
+
+    PROPORTIONAL = (
+        "aa956cbfb343f77d2e9d9bee39f1a2cd837e08dbbb27c250f4314f946241fe0e"
+    )
+    DRF = "ffe835d31f9c40cfc8dd6729c08f3c12cef0106192b584713b38daec56151166"
+    POLICY = "764009bf0970d269d6ee174be416cb788ad2e4dd6b3bf589b98f20a4167c1d61"
+
+    @staticmethod
+    def digest(n_shards, algorithm, setup=None):
+        sim = ShardedSimulation(small_config(n_shards=n_shards), algorithm=algorithm)
+        if setup is not None:
+            setup(sim.control_plane)
+        sim.run(30.0)
+        return sim.finish().digest()
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_proportional_sharing(self, n_shards):
+        digest = self.digest(n_shards, ProportionalSharing(capacity=150.0))
+        assert digest == self.PROPORTIONAL
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_drf_through_scalar_allocator_fallback(self, n_shards):
+        assert self.digest(n_shards, drf()) == self.DRF
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_policy_and_reservation(self, n_shards):
+        digest = self.digest(
+            n_shards,
+            ProportionalSharing(capacity=150.0),
+            with_policy_and_reservation,
+        )
+        assert digest == self.POLICY
+
+
 class TestEnforcement:
     def test_control_plane_genuinely_caps_throughput(self):
         config = small_config()
@@ -202,14 +286,19 @@ class TestEnforcement:
     def test_enforcement_reaches_every_hosting_rack(self):
         config = small_config()
         sim = ShardedSimulation(
-            config,
-            algorithm=ProportionalSharing(capacity=120.0),
-            vector_control=False,
+            config, algorithm=ProportionalSharing(capacity=120.0)
         )
         sim.run(3.0)
-        # After the first tick, pushes are buffered for the next epoch:
-        # with split placement every rack hosts stages of several jobs.
-        assert set(sim._outbox) == set(sim.control_plane.locals)
+        # After the first tick, pushes are staged for the next epoch:
+        # with split placement every rack hosts stages of several jobs,
+        # so every rack's block of scatter slots carries a flag.
+        index_map = sim._pool.index_map
+        flagged = {
+            rack_id
+            for rack_id in sim.control_plane.locals
+            if np.any(sim._flags[index_map.rack_slice(rack_id)])
+        }
+        assert flagged == set(sim.control_plane.locals)
         sim.close()
 
     def test_vector_enforcement_flags_every_hosting_slot(self):
@@ -218,11 +307,10 @@ class TestEnforcement:
             config, algorithm=ProportionalSharing(capacity=120.0)
         )
         sim.run(3.0)
-        # Vector control stages pushes as scatter slot flags instead of
-        # outbox triples: after the last tick every hosted (rack, job)
-        # slot is flagged for the epoch that would follow.
+        # Pushes are staged as scatter slot flags: after the last tick
+        # every hosted (rack, job) slot -- so every hosting rack -- is
+        # flagged for the epoch that would follow.
         assert np.count_nonzero(sim._flags) == sim._pool.n_slots
-        assert not sim._outbox
         sim.close()
 
 

@@ -5,31 +5,33 @@ The contracts under test (see ``repro.simulation.sharded.shm`` and
 
 * the frozen :class:`ShardIndexMap` reproduces FluidRack's job registry
   order exactly (the pin the shm module docstring references);
-* shm and pipe fabrics, and the array and dict epoch APIs, are all
-  bit-identical -- including full-run digests at 1, 2, and 4 shards
-  with real worker processes;
+* the in-process pool (1 shard) and a real worker pool (2 shards) are
+  bit-identical through both the array and the update-list epoch APIs
+  (full-run digests are pinned in ``test_sharded.py``);
 * no ``/dev/shm`` segment outlives the pool: normal exit, worker
-  crash, and double-stop all leave nothing behind;
+  crash, a worker that fails to start, and double-stop all leave
+  nothing behind;
 * a dead or silent worker raises :class:`ShardWorkerError` naming the
   shard and its racks instead of hanging the coordinator.
 """
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
 import os
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShardWorkerError
-from repro.core.algorithms import ProportionalSharing
+from repro.experiments.fig4_sharded import run_fig4_sharded
 from repro.simulation.sharded import (
     FluidConfig,
     FluidRack,
     RackSpec,
     ShardPool,
-    ShardedConfig,
-    ShardedSimulation,
 )
 from repro.simulation.sharded.shm import (
     BURST_NONE,
@@ -139,15 +141,10 @@ class TestShardBuffers:
 
 
 class TestFabricEquality:
-    """shm vs pipe, arrays vs dicts: every combination is bit-identical."""
+    """In-process vs worker pool, arrays vs update lists: all bit-identical."""
 
-    def drive(self, fabric, use_arrays, n_shards=2):
-        pool = ShardPool(
-            shard_blocks(4, n_shards),
-            fluid_config(),
-            fabric=fabric,
-            use_workers=True,
-        )
+    def drive(self, n_shards, use_arrays):
+        pool = ShardPool(shard_blocks(4, n_shards), fluid_config())
         index_map = pool.index_map
         outs = []
         try:
@@ -191,45 +188,17 @@ class TestFabricEquality:
         return np.stack(outs), tail
 
     def test_all_fabric_api_combinations_bit_identical(self):
-        ref_demand, ref_tail = self.drive("pipe", use_arrays=False)
-        for fabric, use_arrays in (
-            ("pipe", True), ("shm", False), ("shm", True)
-        ):
-            demand, tail = self.drive(fabric, use_arrays)
-            assert np.array_equal(demand, ref_demand), (fabric, use_arrays)
-            assert tail == ref_tail, (fabric, use_arrays)
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_full_run_digest_shm_equals_pipe(self, n_shards):
-        # use_workers=True exercises a real wire even at one shard.
-        def digest(fabric):
-            config = ShardedConfig(
-                n_racks=4,
-                n_shards=n_shards,
-                n_jobs=6,
-                stages_per_job=3,
-                placement="split",
-                loop_interval=1.0,
-                fluid=fluid_config(),
-            )
-            sim = ShardedSimulation(
-                config,
-                algorithm=ProportionalSharing(capacity=150.0),
-                fabric=fabric,
-                use_workers=True,
-            )
-            sim.run(16.0)
-            return sim.finish().digest()
-
-        assert digest("shm") == digest("pipe")
+        ref_demand, ref_tail = self.drive(1, use_arrays=False)
+        for n_shards, use_arrays in ((1, True), (2, False), (2, True)):
+            demand, tail = self.drive(n_shards, use_arrays)
+            assert np.array_equal(demand, ref_demand), (n_shards, use_arrays)
+            assert tail == ref_tail, (n_shards, use_arrays)
 
 
 class TestSegmentHygiene:
     def test_normal_finish_leaves_no_segments(self):
         before = shm_files()
-        pool = ShardPool(
-            shard_blocks(4, 2), fluid_config(), fabric="shm", use_workers=True
-        )
+        pool = ShardPool(shard_blocks(4, 2), fluid_config())
         names = set(pool._buffers.names)
         assert names <= shm_files()
         pool.run_epoch(0.0, 1, 1.0, {})
@@ -238,9 +207,7 @@ class TestSegmentHygiene:
 
     def test_double_stop_is_clean(self):
         before = shm_files()
-        pool = ShardPool(
-            shard_blocks(2, 2), fluid_config(), fabric="shm", use_workers=True
-        )
+        pool = ShardPool(shard_blocks(2, 2), fluid_config())
         pool.stop()
         pool.stop()
         assert shm_files() - before == set()
@@ -249,9 +216,7 @@ class TestSegmentHygiene:
 
     def test_worker_crash_raises_named_error_and_unlinks(self):
         before = shm_files()
-        pool = ShardPool(
-            shard_blocks(4, 2), fluid_config(), fabric="shm", use_workers=True
-        )
+        pool = ShardPool(shard_blocks(4, 2), fluid_config())
         pool._procs[0].kill()
         pool._procs[0].join()
         zeros = np.zeros(pool.n_slots)
@@ -265,23 +230,42 @@ class TestSegmentHygiene:
         assert shm_files() - before == set()
         pool.close()  # still idempotent after the failure path
 
+    def test_failed_worker_start_reaps_started_workers_and_unlinks(
+        self, monkeypatch
+    ):
+        before = shm_files()
+        children = set(multiprocessing.active_children())
+        original = BaseProcess.start
+        starts = []
+
+        def start(proc):
+            starts.append(proc)
+            if len(starts) == 2:
+                raise OSError(errno.EAGAIN, "fork refused")
+            original(proc)
+
+        monkeypatch.setattr(BaseProcess, "start", start)
+        with pytest.raises(OSError):
+            ShardPool(shard_blocks(3, 3), fluid_config())
+        monkeypatch.undo()
+        assert len(starts) == 2
+        # Worker 0 was running when worker 1 failed to start: it must be
+        # reaped, and the segments created for the pool unlinked.
+        assert not starts[0].is_alive()
+        assert set(multiprocessing.active_children()) <= children
+        assert shm_files() - before == set()
+
 
 class TestFailureDetection:
     def test_silent_worker_hits_reply_deadline(self):
-        pool = ShardPool(
-            shard_blocks(2, 1),
-            fluid_config(),
-            fabric="shm",
-            use_workers=True,
-            recv_timeout=0.2,
-        )
+        pool = ShardPool(shard_blocks(2, 2), fluid_config(), recv_timeout=0.2)
         try:
             # No doorbell was sent, so the (healthy, idle) worker never
             # replies: the deadline must fire instead of blocking.
             with pytest.raises(ShardWorkerError) as err:
                 pool._await_reply(0)
             assert "deadline" in str(err.value)
-            assert err.value.racks == ("rack0", "rack1")
+            assert err.value.racks == ("rack0",)
         finally:
             pool.close()
 
@@ -291,5 +275,8 @@ class TestFailureDetection:
                 ShardPool(
                     shard_blocks(2, 1), fluid_config(), recv_timeout=bad
                 )
-        with pytest.raises(ConfigError):
-            ShardPool(shard_blocks(2, 1), fluid_config(), fabric="carrier")
+        with pytest.raises(ConfigError, match="fabric"):
+            run_fig4_sharded(
+                n_jobs=2, stages_per_job=1, n_racks=2, clients_per_stage=1,
+                duration=4.0, step_period=2.0, fabric="carrier",
+            )
